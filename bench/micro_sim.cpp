@@ -1,12 +1,18 @@
 // Microbenchmarks of the simulator's own hot loops (google-benchmark):
-// cache-model access rate, hierarchy walks, DES event throughput, RNG and
-// kernel trace generation. These bound how large an experiment the
-// framework can afford.
+// cache-model access rate, hierarchy walks, DES event throughput (a
+// monotone burst and a hold model at a fixed pending count), metric
+// series lookup, RNG and kernel trace generation. These bound how large
+// an experiment the framework can afford.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "arch/platforms.h"
 #include "cache/hierarchy.h"
 #include "kernels/membench.h"
+#include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "sim/machine.h"
 #include "support/rng.h"
@@ -63,6 +69,51 @@ void BM_EventQueue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueue);
+
+// Hold-model event: on firing it schedules its own successor a random
+// delay ahead, so the queue stays at its initial pending count. 40 bytes,
+// the size of a typical network/MPI capture.
+struct HoldEvent {
+  mb::sim::EventQueue* queue;
+  mb::support::Rng* rng;
+  std::uint64_t payload[3];
+  void operator()() const { queue->schedule_in(rng->uniform(), *this); }
+};
+static_assert(sizeof(HoldEvent) == 40);
+
+// Classic hold model: every iteration dequeues the earliest of `pending`
+// events and enqueues one at a random time ahead — the steady state of a
+// large simulation, where every step sifts through the whole heap.
+void BM_EventQueueHold(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  mb::sim::EventQueue q;
+  mb::support::Rng rng(1);
+  for (std::size_t i = 0; i < pending; ++i)
+    q.schedule_at(rng.uniform(), HoldEvent{&q, &rng, {i, i, i}});
+  for (auto _ : state) q.step();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1 << 10)->Arg(1 << 16);
+
+// Series lookup in a registry holding `series` labelled counters — what
+// building an MPI runtime does twice per rank.
+void BM_RegistryLookup(benchmark::State& state) {
+  const auto series = static_cast<std::size_t>(state.range(0));
+  mb::obs::Registry registry;
+  std::vector<mb::obs::Labels> labels;
+  labels.reserve(series);
+  for (std::size_t i = 0; i < series; ++i) {
+    labels.push_back({{"rank", std::to_string(i)}});
+    registry.counter("mpi.bytes_sent", labels.back());
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(&registry.counter("mpi.bytes_sent", labels[i]));
+    i = (i + 7919) % series;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RegistryLookup)->Arg(8192);
 
 void BM_Rng(benchmark::State& state) {
   mb::support::Rng rng(1);

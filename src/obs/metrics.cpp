@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "support/check.h"
 
@@ -70,18 +71,44 @@ Labels normalize(Labels labels) {
   return labels;
 }
 
+// Unambiguous series identity: the name, then each label key and value,
+// every field length-prefixed, so no name containing '{', '=' or ','
+// plus labels can spell another series' identity (the "name{k=v}" text
+// of MetricSample::key() could).
+std::string series_id(std::string_view name, const Labels& labels) {
+  std::string id;
+  const auto field = [&id](std::string_view f) {
+    const std::uint64_t n = f.size();
+    char len[sizeof n];
+    std::memcpy(len, &n, sizeof n);
+    id.append(len, sizeof n);
+    id.append(f);
+  };
+  field(name);
+  for (const auto& [k, v] : labels) {
+    field(k);
+    field(v);
+  }
+  return id;
+}
+
 }  // namespace
 
-Registry::Series* Registry::find(std::string_view name,
-                                 const Labels& labels) {
-  for (auto& s : series_)
-    if (s.name == name && s.labels == labels) return &s;
-  return nullptr;
+Registry::Series* Registry::find(const std::string& id) {
+  const auto it = index_.find(id);
+  return it == index_.end() ? nullptr : &series_[it->second];
+}
+
+Registry::Series& Registry::add(std::string id, Series s) {
+  index_.emplace(std::move(id), series_.size());
+  series_.push_back(std::move(s));
+  return series_.back();
 }
 
 Counter& Registry::counter(std::string_view name, Labels labels) {
   labels = normalize(std::move(labels));
-  if (Series* s = find(name, labels)) {
+  std::string id = series_id(name, labels);
+  if (Series* s = find(id)) {
     check(s->type == MetricSample::Type::kCounter, "Registry::counter",
           "series '" + std::string(name) + "' exists with another type");
     return *s->counter;
@@ -93,13 +120,13 @@ Counter& Registry::counter(std::string_view name, Labels labels) {
   s.counter = std::make_unique<Counter>();
   counters_.push_back(s.counter.get());
   counter_series_.push_back(series_.size());
-  series_.push_back(std::move(s));
-  return *series_.back().counter;
+  return *add(std::move(id), std::move(s)).counter;
 }
 
 Gauge& Registry::gauge(std::string_view name, Labels labels) {
   labels = normalize(std::move(labels));
-  if (Series* s = find(name, labels)) {
+  std::string id = series_id(name, labels);
+  if (Series* s = find(id)) {
     check(s->type == MetricSample::Type::kGauge, "Registry::gauge",
           "series '" + std::string(name) + "' exists with another type");
     return *s->gauge;
@@ -109,14 +136,14 @@ Gauge& Registry::gauge(std::string_view name, Labels labels) {
   s.name = std::string(name);
   s.labels = std::move(labels);
   s.gauge = std::make_unique<Gauge>();
-  series_.push_back(std::move(s));
-  return *series_.back().gauge;
+  return *add(std::move(id), std::move(s)).gauge;
 }
 
 Histogram& Registry::histogram(std::string_view name,
                                std::vector<double> bounds, Labels labels) {
   labels = normalize(std::move(labels));
-  if (Series* s = find(name, labels)) {
+  std::string id = series_id(name, labels);
+  if (Series* s = find(id)) {
     check(s->type == MetricSample::Type::kHistogram, "Registry::histogram",
           "series '" + std::string(name) + "' exists with another type");
     check(s->histogram->bounds() == bounds, "Registry::histogram",
@@ -129,8 +156,7 @@ Histogram& Registry::histogram(std::string_view name,
   s.name = std::string(name);
   s.labels = std::move(labels);
   s.histogram = std::make_unique<Histogram>(std::move(bounds));
-  series_.push_back(std::move(s));
-  return *series_.back().histogram;
+  return *add(std::move(id), std::move(s)).histogram;
 }
 
 std::vector<MetricSample> Registry::snapshot() const {
@@ -194,6 +220,7 @@ void Registry::reset() {
 
 void Registry::clear() {
   series_.clear();
+  index_.clear();
   counters_.clear();
   counter_series_.clear();
 }

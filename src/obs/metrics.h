@@ -4,9 +4,9 @@
 // only diagnosable if the layers underneath exported what they were doing.
 // This registry is the cross-layer sink for such facts. Design goals, in
 // order:
-//  * cheap hot-path updates — instruments resolve a handle once (a map
-//    lookup at setup time) and then increment through the handle, which is
-//    a plain add on a member;
+//  * cheap hot-path updates — instruments resolve a handle once (a hash
+//    lookup at setup time, O(1) in the number of series) and then
+//    increment through the handle, which is a plain add on a member;
 //  * stable, snapshotable state — registration order is preserved, and a
 //    snapshot is a plain value (`MetricSample`) that serializes to JSON via
 //    support/json and parses back;
@@ -30,6 +30,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -154,9 +155,13 @@ class Registry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  Series* find(std::string_view name, const Labels& labels);
+  /// `id` is the series identity built by series_id() in metrics.cpp.
+  Series* find(const std::string& id);
+  /// Appends `s` to series_ and indexes it under `id`.
+  Series& add(std::string id, Series s);
 
   std::vector<Series> series_;           ///< registration order
+  std::unordered_map<std::string, std::size_t> index_;  ///< id -> series_
   std::vector<Counter*> counters_;       ///< registration order, counters only
   std::vector<std::size_t> counter_series_;  ///< index into series_
 };

@@ -35,7 +35,18 @@ void EventQueue::schedule_at(double time_s, Callback cb) {
                  "cannot schedule in the past");
   support::check(static_cast<bool>(cb), "EventQueue::schedule_at",
                  "callback must not be empty");
-  push(Event{time_s, next_seq_++, std::move(cb)});
+  std::uint32_t slot = 0;
+  if (free_.empty()) {
+    support::check(slab_.size() < std::numeric_limits<std::uint32_t>::max(),
+                   "EventQueue::schedule_at", "too many pending events");
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(cb));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = std::move(cb);
+  }
+  push(Key{time_s, next_seq_++, slot});
 }
 
 void EventQueue::schedule_in(double delay_s, Callback cb) {
@@ -44,7 +55,7 @@ void EventQueue::schedule_in(double delay_s, Callback cb) {
   schedule_at(now_ + delay_s, std::move(cb));
 }
 
-void EventQueue::push(Event ev) {
+void EventQueue::push(Key key) {
   ++size_;
   max_pending_ = std::max(max_pending_, size_);
   // Heap mode: when cur_ holds *every* pending event (no rungs, empty
@@ -54,20 +65,18 @@ void EventQueue::push(Event ev) {
   // rebuilds a proper ladder.
   if (rungs_.empty() && overflow_.empty() && !cur_.empty()) {
     if (cur_.size() < kHeapSpill) {
-      cur_.push_back(std::move(ev));
+      cur_.push_back(key);
       std::push_heap(cur_.begin(), cur_.end(), Later{});
       return;
     }
-    overflow_.reserve(cur_.size() + 1);
-    for (Event& e : cur_) overflow_.push_back(std::move(e));
-    cur_.clear();
+    overflow_.swap(cur_);
   }
   // Walk coarsest to deepest: the first rung whose live range holds the
   // timestamp takes the event; the cur bucket of every non-deepest rung
   // is delegated to the rung below it.
   for (std::size_t i = 0; i < rungs_.size(); ++i) {
     Rung& r = rungs_[i];
-    const double rel = ev.time - r.base;
+    const double rel = key.time - r.base;
     std::int64_t idx =
         rel < 0.0 ? -1 : static_cast<std::int64_t>(rel * r.inv_width);
     if (idx >= r.nb) {
@@ -79,19 +88,19 @@ void EventQueue::push(Event ev) {
       idx = r.nb - 1;
     }
     if (idx > r.cur) {
-      r.buckets[static_cast<std::size_t>(idx)].push_back(std::move(ev));
+      r.buckets[static_cast<std::size_t>(idx)].push_back(key);
       ++r.count;
       return;
     }
     // At or before the bucket being drained. On the deepest rung that is
     // the bottom heap; above it, descend into the expansion.
     if (i + 1 == rungs_.size()) {
-      cur_.push_back(std::move(ev));
+      cur_.push_back(key);
       std::push_heap(cur_.begin(), cur_.end(), Later{});
       return;
     }
   }
-  overflow_.push_back(std::move(ev));
+  overflow_.push_back(key);
 }
 
 bool EventQueue::ensure_current() {
@@ -111,7 +120,7 @@ bool EventQueue::ensure_current() {
     std::int64_t j = r.cur + 1;
     while (r.buckets[static_cast<std::size_t>(j)].empty()) ++j;
     r.cur = j;
-    std::vector<Event> bucket;
+    std::vector<Key> bucket;
     bucket.swap(r.buckets[static_cast<std::size_t>(j)]);
     r.count -= bucket.size();
     if (bucket.size() > kSplitThreshold && rungs_.size() < kMaxRungs &&
@@ -140,9 +149,9 @@ void EventQueue::build_base_rung() {
   const std::size_t n = overflow_.size();
   double min_t = kInf;
   double max_t = -kInf;
-  for (const Event& ev : overflow_) {
-    min_t = std::min(min_t, ev.time);
-    max_t = std::max(max_t, ev.time);
+  for (const Key& k : overflow_) {
+    min_t = std::min(min_t, k.time);
+    max_t = std::max(max_t, k.time);
   }
   const double span = max_t - min_t;
   double width = 1.0;
@@ -157,28 +166,28 @@ void EventQueue::build_base_rung() {
   r.inv_width = 1.0 / width;
   r.nb = nb;
   r.buckets.resize(static_cast<std::size_t>(nb));
-  std::vector<Event> later;
-  for (Event& ev : overflow_) {
+  std::vector<Key> later;
+  for (const Key& k : overflow_) {
     const std::int64_t idx =
-        static_cast<std::int64_t>((ev.time - r.base) * r.inv_width);
+        static_cast<std::int64_t>((k.time - r.base) * r.inv_width);
     if (idx < nb) {
-      r.buckets[static_cast<std::size_t>(idx)].push_back(std::move(ev));
+      r.buckets[static_cast<std::size_t>(idx)].push_back(k);
       ++r.count;
     } else {
-      later.push_back(std::move(ev));
+      later.push_back(k);
     }
   }
   overflow_ = std::move(later);
   rungs_.push_back(std::move(r));
 }
 
-bool EventQueue::split_into_rung(std::vector<Event>& bucket) {
+bool EventQueue::split_into_rung(std::vector<Key>& bucket) {
   const std::size_t n = bucket.size();
   double min_t = kInf;
   double max_t = -kInf;
-  for (const Event& ev : bucket) {
-    min_t = std::min(min_t, ev.time);
-    max_t = std::max(max_t, ev.time);
+  for (const Key& k : bucket) {
+    min_t = std::min(min_t, k.time);
+    max_t = std::max(max_t, k.time);
   }
   const double span = max_t - min_t;
   if (span <= 0.0) return false;  // pure tie cluster: the heap handles seq
@@ -194,30 +203,35 @@ bool EventQueue::split_into_rung(std::vector<Event>& bucket) {
   r.nb = nb;
   r.count = n;
   r.buckets.resize(static_cast<std::size_t>(nb));
-  for (Event& ev : bucket) {
+  for (const Key& k : bucket) {
     const std::int64_t idx = std::min<std::int64_t>(
-        static_cast<std::int64_t>((ev.time - r.base) * r.inv_width), nb - 1);
-    r.buckets[static_cast<std::size_t>(idx)].push_back(std::move(ev));
+        static_cast<std::int64_t>((k.time - r.base) * r.inv_width), nb - 1);
+    r.buckets[static_cast<std::size_t>(idx)].push_back(k);
   }
   bucket.clear();
   rungs_.push_back(std::move(r));
   return true;
 }
 
-EventQueue::Event EventQueue::pop_min() {
+EventQueue::Key EventQueue::pop_min() {
   std::pop_heap(cur_.begin(), cur_.end(), Later{});
-  Event ev = std::move(cur_.back());
+  const Key key = cur_.back();
   cur_.pop_back();
   --size_;
-  return ev;
+  return key;
 }
 
 bool EventQueue::step() {
   if (!ensure_current()) return false;
-  Event ev = pop_min();
-  now_ = ev.time;
+  const Key key = pop_min();
+  now_ = key.time;
   ++executed_;
-  ev.cb();
+  // Take the callback out and free its slot before running it: the
+  // callback may schedule events, which can reuse the slot or grow
+  // (reallocate) the slab under it.
+  Callback cb = std::move(slab_[key.slot]);
+  free_.push_back(key.slot);
+  cb();
   return true;
 }
 

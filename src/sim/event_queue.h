@@ -28,11 +28,16 @@
 // dequeue order is identical to the old priority_queue engine (asserted
 // by tests/sim/event_queue_property_test.cpp).
 //
-// Callbacks are support::SmallFn: captures live inline in the event record
-// (no per-event heap allocation on the hot path).
+// Only 24-byte keys {time, seq, slot} move through the heap, the rung
+// buckets and the overflow pool; the callbacks themselves
+// (support::SmallFn, captures inline, no per-event heap allocation) stay
+// put in a slab indexed by `slot` until their event runs. A sift is then
+// a trivially-copyable key copy instead of an indirect call into the
+// callback's move manager.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "support/small_fn.h"
@@ -77,13 +82,15 @@ class EventQueue {
   std::size_t max_pending() const { return max_pending_; }
 
  private:
-  struct Event {
+  /// Heap/bucket entry; the callback lives in slab_[slot].
+  struct Key {
     double time;
     std::uint64_t seq;
-    Callback cb;
+    std::uint32_t slot;
   };
+  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
@@ -96,10 +103,10 @@ class EventQueue {
     std::int64_t cur = -1;
     std::int64_t nb = 0;
     std::size_t count = 0;  ///< events in buckets after `cur`
-    std::vector<std::vector<Event>> buckets;
+    std::vector<std::vector<Key>> buckets;
   };
 
-  void push(Event ev);
+  void push(Key key);
   /// Moves events forward until cur_ holds the global minimum.
   /// False when the queue is empty.
   bool ensure_current();
@@ -107,12 +114,15 @@ class EventQueue {
   void build_base_rung();
   /// Re-buckets an oversized drained bucket into a finer rung; false when
   /// the cluster is too tight to split (ties, denormal widths).
-  bool split_into_rung(std::vector<Event>& bucket);
-  Event pop_min();
+  bool split_into_rung(std::vector<Key>& bucket);
+  Key pop_min();
 
-  std::vector<Event> cur_;     ///< bottom heap, (time, seq) ordered
+  std::vector<Key> cur_;       ///< bottom heap, (time, seq) ordered
   std::vector<Rung> rungs_;    ///< [0] coarsest .. back() deepest
-  std::vector<Event> overflow_;
+  std::vector<Key> overflow_;
+
+  std::vector<Callback> slab_;         ///< pending callbacks by slot
+  std::vector<std::uint32_t> free_;    ///< vacant slab slots, reused LIFO
 
   double now_ = 0.0;
   std::size_t size_ = 0;

@@ -14,28 +14,47 @@ namespace {
 
 constexpr char kMagic[4] = {'M', 'B', 'T', 'R'};
 
-void write_u8(std::ostream& os, std::uint8_t v) {
-  os.put(static_cast<char>(v));
+// One record on disk: u32 rank, u8 kind, u32 label_id, u64 bytes,
+// u64 t0_bits, u64 t1_bits — packed into one buffer so each record is a
+// single stream call in either direction.
+constexpr std::size_t kRecordBytes = 4 + 1 + 4 + 8 + 8 + 8;
+
+template <typename T>
+void store_le(char* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+template <typename T>
+T load_le(const char* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    v |= static_cast<T>(static_cast<unsigned char>(p[i])) << (8 * i);
+  return v;
+}
+
+std::uint64_t f64_bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double f64_from_bits(std::uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
 }
 
 void write_u32(std::ostream& os, std::uint32_t v) {
   char buf[4];
-  for (int i = 0; i < 4; ++i)
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  store_le(buf, v);
   os.write(buf, 4);
 }
 
 void write_u64(std::ostream& os, std::uint64_t v) {
   char buf[8];
-  for (int i = 0; i < 8; ++i)
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  store_le(buf, v);
   os.write(buf, 8);
-}
-
-void write_f64(std::ostream& os, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  write_u64(os, bits);
 }
 
 void write_string(std::ostream& os, const std::string& s) {
@@ -51,37 +70,16 @@ void read_exact(std::istream& is, char* buf, std::size_t n) {
                  "truncated file");
 }
 
-std::uint8_t read_u8(std::istream& is) {
-  char c = 0;
-  read_exact(is, &c, 1);
-  return static_cast<std::uint8_t>(c);
-}
-
 std::uint32_t read_u32(std::istream& is) {
   char buf[4];
   read_exact(is, buf, 4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[i]))
-         << (8 * i);
-  return v;
+  return load_le<std::uint32_t>(buf);
 }
 
 std::uint64_t read_u64(std::istream& is) {
   char buf[8];
   read_exact(is, buf, 8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i]))
-         << (8 * i);
-  return v;
-}
-
-double read_f64(std::istream& is) {
-  const std::uint64_t bits = read_u64(is);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+  return load_le<std::uint64_t>(buf);
 }
 
 std::string read_string(std::istream& is, std::uint32_t max_len) {
@@ -123,12 +121,14 @@ void MbTraceWriter::append(std::uint32_t rank, EventKind kind,
                            double t0, double t1) {
   support::check(written_ < declared_, "write_mb_trace",
                  "more records appended than declared");
-  write_u32(os_, rank);
-  write_u8(os_, static_cast<std::uint8_t>(kind));
-  write_u32(os_, label_id);
-  write_u64(os_, bytes);
-  write_f64(os_, t0);
-  write_f64(os_, t1);
+  char rec[kRecordBytes];
+  store_le(rec, rank);
+  rec[4] = static_cast<char>(kind);
+  store_le(rec + 5, label_id);
+  store_le(rec + 9, bytes);
+  store_le(rec + 17, f64_bits(t0));
+  store_le(rec + 25, f64_bits(t1));
+  os_.write(rec, kRecordBytes);
   ++written_;
 }
 
@@ -189,21 +189,25 @@ MbTraceFile read_mb_trace(std::istream& is) {
   for (std::uint32_t i = 0; i < strings; ++i)
     table.push_back(read_string(is, 1u << 16));
 
+  // The record count is untrusted: the trace grows as records actually
+  // arrive instead of being reserved from it.
   const std::uint64_t count = read_u64(is);
+  char rec[kRecordBytes];
   for (std::uint64_t i = 0; i < count; ++i) {
+    read_exact(is, rec, kRecordBytes);
     Record r;
-    r.rank = read_u32(is);
-    const std::uint8_t kind = read_u8(is);
+    r.rank = load_le<std::uint32_t>(rec);
+    const auto kind = static_cast<std::uint8_t>(rec[4]);
     support::check(kind <= static_cast<std::uint8_t>(EventKind::kFault),
                    "read_mb_trace", "unknown event kind in record");
     r.kind = static_cast<EventKind>(kind);
-    const std::uint32_t label_id = read_u32(is);
+    const auto label_id = load_le<std::uint32_t>(rec + 5);
     support::check(label_id < table.size(), "read_mb_trace",
                    "label id out of range");
     r.label = table[label_id];
-    r.bytes = read_u64(is);
-    r.t0 = read_f64(is);
-    r.t1 = read_f64(is);
+    r.bytes = load_le<std::uint64_t>(rec + 9);
+    r.t0 = f64_from_bits(load_le<std::uint64_t>(rec + 17));
+    r.t1 = f64_from_bits(load_le<std::uint64_t>(rec + 25));
     file.trace.add(std::move(r));
   }
   if (!file.meta.tool_version.empty())

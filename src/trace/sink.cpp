@@ -340,6 +340,9 @@ void StreamingSink::finalize_spill() {
 }
 
 void StreamingSink::drain(Trace& out) const {
+  std::size_t retained = 0;
+  for (const RankRing& ring : rings_) retained += ring.slots.size();
+  out.reserve(out.size() + retained);
   for (std::uint32_t slot = 0; slot < rings_.size(); ++slot) {
     const RankRing& ring = rings_[slot];
     const std::size_t n = ring.slots.size();

@@ -42,6 +42,8 @@ struct Record {
 class Trace {
  public:
   void add(Record r);
+  /// Capacity hint for callers that know how many records will follow.
+  void reserve(std::size_t n) { records_.reserve(n); }
 
   const std::vector<Record>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }

@@ -4,6 +4,7 @@
 // promotion shifts at least one of these counts.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -18,6 +19,12 @@ struct PerftCase {
   int depth;
   std::uint64_t nodes;
 };
+
+// Without a printer gtest shows the raw bytes of the case, pointers
+// included, so the discovered test names would change from build to build.
+void PrintTo(const PerftCase& c, std::ostream* os) {
+  *os << c.name << " depth=" << c.depth << " nodes=" << c.nodes;
+}
 
 class PerftOracle : public ::testing::TestWithParam<PerftCase> {};
 

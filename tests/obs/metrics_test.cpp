@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "support/check.h"
 #include "support/json.h"
 
@@ -129,6 +132,88 @@ TEST(Metrics, SnapshotRoundTripsThroughJson) {
     EXPECT_EQ(after[i].count, before[i].count);
   }
   EXPECT_EQ(after[0].key(), "bytes{rank=3}");
+}
+
+TEST(Metrics, RelookupOfManyLabelledSeriesReturnsSameHandles) {
+  Registry r;
+  std::vector<Counter*> handles;
+  for (int i = 0; i < 10000; ++i)
+    handles.push_back(
+        &r.counter("mpi.bytes_sent", {{"rank", std::to_string(i)}}));
+  ASSERT_EQ(r.size(), 10000u);
+  for (int i = 9999; i >= 0; --i)
+    EXPECT_EQ(&r.counter("mpi.bytes_sent", {{"rank", std::to_string(i)}}),
+              handles[static_cast<std::size_t>(i)]);
+  EXPECT_EQ(r.size(), 10000u);
+}
+
+TEST(Metrics, ClearThenReregister) {
+  Registry r;
+  r.counter("x", {{"rank", "0"}}).add(3.0);
+  r.gauge("g").set(1.0);
+  r.clear();
+  EXPECT_EQ(r.size(), 0u);
+  EXPECT_EQ(r.counter_count(), 0u);
+  // Same identities, now with other types: the old index entries are gone.
+  Gauge& g = r.gauge("x", {{"rank", "0"}});
+  Counter& c = r.counter("g");
+  EXPECT_DOUBLE_EQ(g.value(), 0.0);
+  EXPECT_EQ(&r.gauge("x", {{"rank", "0"}}), &g);
+  EXPECT_EQ(&r.counter("g"), &c);
+  EXPECT_EQ(r.size(), 2u);
+  ASSERT_EQ(r.counter_count(), 1u);
+  EXPECT_EQ(r.counter_key(0), "g");
+}
+
+TEST(Metrics, SeriesWithCollidingPlainKeysStayDistinct) {
+  Registry r;
+  // Each pair spells the same "name{k=v,...}" text, or the same string
+  // when name, keys and values are simply concatenated.
+  Counter& a = r.counter("x{a=1}");
+  Counter& b = r.counter("x", {{"a", "1"}});
+  Counter& c = r.counter("x", {{"a", "1,b=2"}});
+  Counter& d = r.counter("x", {{"a", "1"}, {"b", "2"}});
+  Counter& e = r.counter("a", {{"bc", "d"}});
+  Counter& f = r.counter("ab", {{"c", "d"}});
+  Counter& g = r.counter("y", {{"k", "vw"}});
+  Counter& h = r.counter("y", {{"kv", "w"}});
+  const std::vector<Counter*> all{&a, &b, &c, &d, &e, &f, &g, &h};
+  for (std::size_t i = 0; i < all.size(); ++i)
+    for (std::size_t j = i + 1; j < all.size(); ++j)
+      EXPECT_NE(all[i], all[j]) << i << " vs " << j;
+  EXPECT_EQ(r.size(), all.size());
+  EXPECT_EQ(&r.counter("x", {{"a", "1,b=2"}}), &c);
+  EXPECT_EQ(&r.counter("ab", {{"c", "d"}}), &f);
+}
+
+TEST(Metrics, MismatchesStillThrowOnLabelledSeries) {
+  Registry r;
+  r.counter("c", {{"rank", "1"}});
+  r.histogram("h", {1.0, 2.0}, {{"rank", "1"}});
+  EXPECT_THROW(r.gauge("c", {{"rank", "1"}}), support::Error);
+  EXPECT_THROW(r.histogram("c", {1.0}, {{"rank", "1"}}), support::Error);
+  EXPECT_THROW(r.counter("h", {{"rank", "1"}}), support::Error);
+  EXPECT_THROW(r.histogram("h", {1.0, 3.0}, {{"rank", "1"}}),
+               support::Error);
+  // Other labels are other series: no conflict.
+  EXPECT_NO_THROW(r.gauge("c", {{"rank", "2"}}));
+  EXPECT_NO_THROW(r.histogram("h", {5.0}, {{"rank", "2"}}));
+}
+
+TEST(Metrics, SnapshotKeepsRegistrationOrder) {
+  Registry r;
+  const std::vector<std::string> names{"z", "a", "m", "b", "y"};
+  for (const auto& n : names) {
+    r.counter(n, {{"rank", "1"}});
+    r.gauge(n);
+  }
+  r.counter("a", {{"rank", "1"}}).inc();  // re-lookup must not reorder
+  const auto snap = r.snapshot();
+  ASSERT_EQ(snap.size(), 2 * names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(snap[2 * i].key(), names[i] + "{rank=1}");
+    EXPECT_EQ(snap[2 * i + 1].key(), names[i]);
+  }
 }
 
 }  // namespace

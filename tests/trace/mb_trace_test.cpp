@@ -127,6 +127,60 @@ TEST(MbTrace, RejectsCorruptInput) {
     std::istringstream is(std::string{}, std::ios::binary);
     EXPECT_THROW(read_mb_trace(is), support::Error);
   }
+  constexpr std::size_t kRecord = 33;
+  const std::size_t last = good.size() - kRecord;
+  {  // event kind past the last EventKind
+    std::string bad = good;
+    bad[last + 4] = static_cast<char>(0x40);
+    std::istringstream is(bad, std::ios::binary);
+    EXPECT_THROW(read_mb_trace(is), support::Error);
+  }
+  {  // label id past the label table
+    std::string bad = good;
+    bad[last + 5] = static_cast<char>(0x09);
+    std::istringstream is(bad, std::ios::binary);
+    EXPECT_THROW(read_mb_trace(is), support::Error);
+  }
+  {  // a huge declared record count over a short body: the reader must
+     // fail on the missing bytes, not allocate for the claimed count
+    std::string bad = good;
+    const std::size_t count_at = good.size() - 2 * kRecord - 8;
+    for (std::size_t i = 0; i < 8; ++i)
+      bad[count_at + i] = static_cast<char>(i == 7 ? 0x10 : 0xFF);
+    std::istringstream is(bad, std::ios::binary);
+    EXPECT_THROW(read_mb_trace(is), support::Error);
+  }
+}
+
+TEST(MbTrace, RecordLayoutIsFixedLittleEndian) {
+  Trace t;
+  Record r;
+  r.rank = 0x01020304;
+  r.kind = EventKind::kCollective;
+  r.label = "x";
+  r.bytes = 0x1112131415161718ULL;
+  r.t0 = 0.0;
+  r.t1 = 1.0;  // IEEE-754 bits 0x3FF0000000000000
+  t.add(r);
+  std::ostringstream os(std::ios::binary);
+  write_mb_trace(os, t, MbTraceMeta{});
+  const std::string bytes = os.str();
+  ASSERT_GE(bytes.size(), 33u);
+  const std::string rec = bytes.substr(bytes.size() - 33);
+  const unsigned char want[33] = {
+      0x04, 0x03, 0x02, 0x01,                          // rank
+      static_cast<unsigned char>(EventKind::kCollective),
+      0x00, 0x00, 0x00, 0x00,                          // label id
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // bytes
+      0, 0, 0, 0, 0, 0, 0, 0,                          // t0 bits
+      0, 0, 0, 0, 0, 0, 0xF0, 0x3F};                   // t1 bits
+  EXPECT_EQ(rec, std::string(reinterpret_cast<const char*>(want), 33));
+  std::istringstream is(bytes, std::ios::binary);
+  const MbTraceFile back = read_mb_trace(is);
+  ASSERT_EQ(back.trace.size(), 1u);
+  EXPECT_EQ(back.trace.records()[0].rank, 0x01020304u);
+  EXPECT_EQ(back.trace.records()[0].bytes, 0x1112131415161718ULL);
+  EXPECT_EQ(back.trace.records()[0].t1, 1.0);
 }
 
 }  // namespace
