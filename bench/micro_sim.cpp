@@ -1,8 +1,8 @@
 // Microbenchmarks of the simulator's own hot loops (google-benchmark):
 // cache-model access rate, hierarchy walks, DES event throughput (a
 // monotone burst and a hold model at a fixed pending count), metric
-// series lookup, RNG and kernel trace generation. These bound how large
-// an experiment the framework can afford.
+// series lookup, MPI message matching, RNG and kernel trace generation.
+// These bound how large an experiment the framework can afford.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include "arch/platforms.h"
 #include "cache/hierarchy.h"
 #include "kernels/membench.h"
+#include "mpi/mailbox.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "sim/machine.h"
@@ -114,6 +115,32 @@ void BM_RegistryLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RegistryLookup)->Arg(8192);
+
+// One rank's receive side of a stream of alltoallv occurrences: each
+// occurrence brings a fresh tag and p-1 messages that arrive in a shuffled
+// order and are received in source order — the matching pattern of the
+// BigDFT collective at p = 36 and 192 ranks.
+void BM_MailboxChurn(benchmark::State& state) {
+  const auto ranks = static_cast<std::uint32_t>(state.range(0));
+  mb::support::Rng rng(1);
+  std::vector<std::uint32_t> arrival;
+  for (const std::size_t i : rng.permutation(ranks - 1))
+    arrival.push_back(static_cast<std::uint32_t>(i) + 1);
+  using Box = mb::mpi::Mailbox<std::uint64_t>;
+  Box box;
+  std::int32_t tag = 1 << 16;
+  for (auto _ : state) {
+    for (const std::uint32_t src : arrival) box.push(Box::key(src, tag), src);
+    std::uint64_t bytes = 0;
+    for (std::uint32_t src = 1; src < ranks; ++src) {
+      box.pop(Box::key(src, tag), bytes);
+      benchmark::DoNotOptimize(bytes);
+    }
+    tag += 4096;
+  }
+  state.SetItemsProcessed(state.iterations() * (ranks - 1));
+}
+BENCHMARK(BM_MailboxChurn)->Arg(36)->Arg(192);
 
 void BM_Rng(benchmark::State& state) {
   mb::support::Rng rng(1);

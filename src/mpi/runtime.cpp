@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "support/check.h"
-#include "support/rng.h"
 #include "verify/mpi_verify.h"
 
 namespace mb::mpi {
@@ -27,52 +26,6 @@ std::string FailureReport::to_string() const {
        << b.op_index << (b.timed_out ? ", timed out]" : "]") << '\n';
   }
   return os.str();
-}
-
-void Runtime::Mailbox::push(std::uint64_t k, std::uint64_t bytes) {
-  if (keys_.empty() || (count_ + 1) * 2 > keys_.size()) grow();
-  const std::size_t i = locate(k);
-  if (keys_[i] == kEmpty) {
-    keys_[i] = k;
-    ++count_;
-  }
-  slots_[i].fifo.push_back(bytes);
-}
-
-bool Runtime::Mailbox::pop(std::uint64_t k, std::uint64_t& bytes) {
-  if (keys_.empty()) return false;
-  const std::size_t i = locate(k);
-  if (keys_[i] == kEmpty) return false;
-  Slot& slot = slots_[i];
-  if (slot.head == slot.fifo.size()) return false;
-  bytes = slot.fifo[slot.head++];
-  if (slot.head == slot.fifo.size()) {
-    slot.fifo.clear();  // keeps capacity for the next burst
-    slot.head = 0;
-  }
-  return true;
-}
-
-std::size_t Runtime::Mailbox::locate(std::uint64_t k) const {
-  const std::size_t mask = keys_.size() - 1;
-  std::uint64_t h = k;  // splitmix64 steps its argument; keep k intact
-  std::size_t i = support::splitmix64(h) & mask;
-  while (keys_[i] != kEmpty && keys_[i] != k) i = (i + 1) & mask;
-  return i;
-}
-
-void Runtime::Mailbox::grow() {
-  std::vector<std::uint64_t> old_keys = std::move(keys_);
-  std::vector<Slot> old_slots = std::move(slots_);
-  const std::size_t n = old_keys.empty() ? 8 : old_keys.size() * 2;
-  keys_.assign(n, kEmpty);
-  slots_.assign(n, Slot{});
-  for (std::size_t j = 0; j < old_keys.size(); ++j) {
-    if (old_keys[j] == kEmpty) continue;
-    const std::size_t i = locate(old_keys[j]);
-    keys_[i] = old_keys[j];
-    slots_[i] = std::move(old_slots[j]);
-  }
 }
 
 Runtime::Runtime(sim::Scheduler& sched, net::Network& network,
@@ -286,7 +239,7 @@ void Runtime::deliver(std::uint32_t dst_rank, std::uint32_t src_rank,
   RankState& s = states_[dst_rank];
   if (s.crashed || s.timed_out) return;  // dead ranks receive nothing
   const auto key = std::make_pair(src_rank, tag);
-  s.mailbox.push(Mailbox::key(src_rank, tag), bytes);
+  s.mailbox.push(ByteMailbox::key(src_rank, tag), bytes);
   if (s.waiting && *s.waiting == key) {
     s.waiting.reset();
     metrics_[dst_rank].time_wait += sched_->now() - s.wait_start;
@@ -386,7 +339,7 @@ void Runtime::advance(std::uint32_t rank) {
       }
       case Op::Kind::kRecv: {
         std::uint64_t bytes = 0;
-        if (!s.mailbox.pop(Mailbox::key(op.peer, op.tag), bytes)) {
+        if (!s.mailbox.pop(ByteMailbox::key(op.peer, op.tag), bytes)) {
           s.waiting = std::make_pair(op.peer, op.tag);
           s.wait_start = now;
           s.wait_op = s.pc;

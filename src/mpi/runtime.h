@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "mpi/mailbox.h"
 #include "mpi/program.h"
 #include "net/network.h"
 #include "obs/metrics.h"
@@ -147,37 +148,11 @@ class Runtime {
   void set_trace_sink(trace::Sink* sink);
 
  private:
-  /// Open-addressed (source, tag) -> FIFO-of-sizes map, replacing the
-  /// std::map mailbox that dominated the deliver/recv path at scale.
-  /// Keys are never erased: a drained FIFO marks absence, so matching is
-  /// a probe plus a head-index bump and the per-key vectors recycle
-  /// their capacity across the many messages of one (src, tag) stream.
-  /// Keys live in their own dense array so a probe touches 8-byte
-  /// entries, not the fat payload slots — the table stays cache-resident
-  /// even at thousands of keys per rank.
-  class Mailbox {
-   public:
-    static std::uint64_t key(std::uint32_t src, std::int32_t tag) {
-      return (static_cast<std::uint64_t>(src) << 32) |
-             static_cast<std::uint32_t>(tag);
-    }
-    void push(std::uint64_t k, std::uint64_t bytes);
-    /// False when no message matches; otherwise pops FIFO-first.
-    bool pop(std::uint64_t k, std::uint64_t& bytes);
-
-   private:
-    /// (src=~0, tag=-1) is not a reachable key: ranks are dense indices.
-    static constexpr std::uint64_t kEmpty = ~0ull;
-    struct Slot {
-      std::uint32_t head = 0;
-      std::vector<std::uint64_t> fifo;
-    };
-    std::size_t locate(std::uint64_t k) const;
-    void grow();
-    std::vector<std::uint64_t> keys_;  ///< probe array, kEmpty = free
-    std::vector<Slot> slots_;          ///< payload, parallel to keys_
-    std::size_t count_ = 0;  ///< used slots (never shrinks)
-  };
+  /// Arrived-but-unreceived messages, payload = byte count. Matched
+  /// messages are deleted, so a rank's table is sized by its most
+  /// messages pending at once — p-1 inside one alltoallv — even though
+  /// every collective occurrence brings a fresh tag (see mpi/mailbox.h).
+  using ByteMailbox = Mailbox<std::uint64_t>;
 
   /// Metric deltas accumulated on the owning shard, flushed rank-major
   /// to the single-threaded obs registry after the run.
@@ -207,7 +182,7 @@ class Runtime {
     // Arrived-but-unmatched messages (payload sizes, FIFO per key) and
     // the receive each op waits for. Receives take the size from the
     // matched message — recv ops carry no byte count of their own.
-    Mailbox mailbox;
+    ByteMailbox mailbox;
     std::optional<std::pair<std::uint32_t, std::int32_t>> waiting;
   };
 

@@ -1,14 +1,15 @@
 #include "verify/mpi_verify.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "mpi/mailbox.h"
 #include "verify/rules.h"
 
 namespace mb::verify {
@@ -245,12 +246,13 @@ void match_pass(const Program& program, Report& report) {
     schedule[r] = lower_rank(program, r);
 
   struct Pending {
-    std::uint32_t src;
     std::size_t origin;  ///< sender's user-visible op index
+    std::uint64_t seq;   ///< push order, for reporting leftovers
   };
-  using Key = std::pair<std::uint32_t, std::int32_t>;  // (source, tag)
-  std::vector<std::map<Key, std::deque<Pending>>> mailbox(ranks);
+  using Box = mpi::Mailbox<Pending>;
+  std::vector<Box> mailbox(ranks);
   std::vector<std::size_t> pc(ranks, 0);
+  std::uint64_t pushed = 0;
 
   // Round-robin to a fixpoint: buffered sends always progress, receives
   // progress when their (source, tag) FIFO is non-empty.
@@ -261,13 +263,11 @@ void match_pass(const Program& program, Report& report) {
       while (pc[r] < schedule[r].size()) {
         const AOp& op = schedule[r][pc[r]];
         if (op.is_send) {
-          mailbox[op.peer][Key{r, op.tag}].push_back(
-              Pending{r, op.origin});
+          mailbox[op.peer].push(Box::key(r, op.tag),
+                                Pending{op.origin, pushed++});
         } else {
-          auto it = mailbox[r].find(Key{op.peer, op.tag});
-          if (it == mailbox[r].end() || it->second.empty()) break;
-          it->second.pop_front();
-          if (it->second.empty()) mailbox[r].erase(it);
+          Pending matched{};
+          if (!mailbox[r].pop(Box::key(op.peer, op.tag), matched)) break;
         }
         ++pc[r];
         progress = true;
@@ -375,21 +375,34 @@ void match_pass(const Program& program, Report& report) {
     }
   }
 
-  // Unmatched sends: leftovers at receivers that finished their program.
+  // Unmatched sends: leftovers at receivers that finished their program,
+  // reported in (source, tag, FIFO) order.
+  struct Leftover {
+    std::uint32_t src;
+    std::int32_t tag;
+    Pending msg;
+  };
+  std::vector<Leftover> leftovers;
   for (std::uint32_t dst = 0; dst < ranks; ++dst) {
     if (!done[dst]) continue;  // the blocking diagnostics own this rank
-    for (const auto& [key, queue] : mailbox[dst]) {
-      for (const Pending& msg : queue) {
-        report.add(kRuleUnmatchedSend,
-                   Location::program(msg.src, msg.origin),
-                   "rank " + std::to_string(msg.src) + " " +
-                       describe_origin(program, msg.src, msg.origin) +
-                       " sends to rank " + std::to_string(dst) + " (tag " +
-                       std::to_string(key.second) +
-                       ") but rank " + std::to_string(dst) +
-                       " finished without receiving it",
-                   "add the matching receive or drop the send");
-      }
+    leftovers.clear();
+    mailbox[dst].for_each([&](Box::Key key, const Pending& msg) {
+      leftovers.push_back(Leftover{Box::source(key), Box::tag(key), msg});
+    });
+    std::sort(leftovers.begin(), leftovers.end(),
+              [](const Leftover& a, const Leftover& b) {
+                return std::tie(a.src, a.tag, a.msg.seq) <
+                       std::tie(b.src, b.tag, b.msg.seq);
+              });
+    for (const Leftover& l : leftovers) {
+      report.add(kRuleUnmatchedSend,
+                 Location::program(l.src, l.msg.origin),
+                 "rank " + std::to_string(l.src) + " " +
+                     describe_origin(program, l.src, l.msg.origin) +
+                     " sends to rank " + std::to_string(dst) + " (tag " +
+                     std::to_string(l.tag) + ") but rank " +
+                     std::to_string(dst) + " finished without receiving it",
+                 "add the matching receive or drop the send");
     }
   }
 }

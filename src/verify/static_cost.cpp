@@ -4,12 +4,12 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "mpi/mailbox.h"
 #include "support/check.h"
 #include "support/json.h"
 #include "support/table.h"
@@ -251,30 +251,34 @@ class Interpreter {
     }
   }
 
-  /// Worst single-collective-occurrence burst per link: occurrence-major
-  /// re-lowering (cheap — tags don't matter for routes) so one
-  /// occurrence's sends are summed together across all ranks.
+  /// Worst single-collective-occurrence burst per link. Walks the
+  /// lowered schedule occurrence-major, so one occurrence's sends are
+  /// summed together across all ranks; each rank's ops for one
+  /// occurrence are contiguous in its schedule, in occurrence order.
   void accumulate_occurrence_bursts() {
     if (collectives_.empty()) return;
-    // Per-rank indices of user-visible collective ops; MPI004-clean
-    // programs have the same count everywhere.
-    std::vector<std::vector<std::size_t>> coll_ops(ranks_);
+    // MPI004-clean programs issue the same number of collectives
+    // everywhere.
     for (std::uint32_t r = 0; r < ranks_; ++r) {
-      const auto& ops = program_.rank(r);
-      for (std::size_t i = 0; i < ops.size(); ++i)
-        if (is_collective(ops[i].kind)) coll_ops[r].push_back(i);
-      support::check(coll_ops[r].size() == collectives_.size(),
-                     "analyze_cost",
+      std::size_t issued = 0;
+      for (const Op& op : program_.rank(r))
+        if (is_collective(op.kind)) ++issued;
+      support::check(issued == collectives_.size(), "analyze_cost",
                      "collective sequence differs across ranks; run "
                      "verify_program first");
     }
+    std::vector<std::size_t> cursor(ranks_, 0);
     std::vector<Hop> touched;
     for (std::size_t c = 0; c < collectives_.size(); ++c) {
+      const auto coll = static_cast<std::int32_t>(c);
       touched.clear();
       std::uint64_t payload = 0;
       for (std::uint32_t r = 0; r < ranks_; ++r) {
-        const Op& op = program_.rank(r)[coll_ops[r][c]];
-        for (const Op& low : lower_collective(op, r, ranks_, 0)) {
+        const std::vector<LOp>& ops = schedule_[r];
+        std::size_t& i = cursor[r];
+        while (i < ops.size() && ops[i].coll < coll) ++i;
+        for (; i < ops.size() && ops[i].coll == coll; ++i) {
+          const LOp& low = ops[i];
           if (low.kind != Op::Kind::kSend) continue;
           payload += low.bytes;
           if (node_of(r) == node_of(low.peer)) continue;
@@ -318,8 +322,8 @@ class Interpreter {
   /// The timed abstract execution (lower bound). Mirrors the verifier's
   /// FIFO fixpoint, with per-rank clocks and per-message arrival times.
   void timed_lower_bound() {
-    using Key = std::pair<std::uint32_t, std::int32_t>;  // (source, tag)
-    std::vector<std::map<Key, std::deque<double>>> mailbox(ranks_);
+    using Box = mpi::Mailbox<double>;  // payload: arrival time
+    std::vector<Box> mailbox(ranks_);
     std::vector<std::size_t> pc(ranks_, 0);
     std::vector<double> clock(ranks_, 0.0);
 
@@ -339,14 +343,11 @@ class Interpreter {
                           static_cast<double>(op.bytes) /
                               d_.mpi.intra_bandwidth_bytes_per_s
                     : clock[r] + delivery_lower(r, op.peer, op.bytes);
-            mailbox[op.peer][Key{r, op.tag}].push_back(arrival);
+            mailbox[op.peer].push(Box::key(r, op.tag), arrival);
             clock[r] += d_.mpi.send_overhead_s;
           } else {  // receive
-            auto it = mailbox[r].find(Key{op.peer, op.tag});
-            if (it == mailbox[r].end() || it->second.empty()) break;
-            const double arrival = it->second.front();
-            it->second.pop_front();
-            if (it->second.empty()) mailbox[r].erase(it);
+            double arrival = 0.0;
+            if (!mailbox[r].pop(Box::key(op.peer, op.tag), arrival)) break;
             const double wait = std::max(0.0, arrival - clock[r]);
             if (op.coll < 0) {
               per_rank_[r].wait_p2p_lower_s += wait;

@@ -15,6 +15,7 @@
 #include "apps/hpl.h"
 #include "apps/specfem.h"
 #include "support/check.h"
+#include "support/version.h"
 #include "verify/rules.h"
 
 namespace mb::verify {
@@ -57,6 +58,79 @@ TEST(MpiVerify, Mpi001UnmatchedSend) {
   EXPECT_EQ(d.severity, Severity::kError);
   EXPECT_EQ(d.location.rank, 0u);
   EXPECT_EQ(d.location.op_index, 0u);
+}
+
+TEST(MpiVerify, Mpi001LeftoversReportedInSourceTagFifoOrder) {
+  // Rank 3 finishes after one receive; every other message to it is left
+  // over. Sends are posted out of (source, tag) order, rank 2 sends twice
+  // on one key, and a negative tag must sort before the positive ones.
+  Program p(4);
+  p.append(0, Op::send(3, 8, 9));
+  p.append(0, Op::send(3, 8, -3));
+  p.append(0, Op::send(3, 8, 1));
+  p.append(1, Op::send(3, 16, 2));
+  p.append(1, Op::send(3, 16, 2));
+  p.append(2, Op::send(3, 4, 5));
+  p.append(2, Op::send(3, 4, 4));
+  p.append(2, Op::send(3, 4, 5));
+  p.append(3, Op::recv(1, 2));
+  const Report report = verify_program(p);
+
+  struct Leftover {
+    int src, op, tag;
+  };
+  const Leftover expected[] = {{0, 1, -3}, {0, 2, 1}, {0, 0, 9}, {1, 1, 2},
+                               {2, 1, 4},  {2, 0, 5}, {2, 2, 5}};
+  const std::string hint = "add the matching receive or drop the send";
+  const auto message = [](const Leftover& l) {
+    return "rank " + std::to_string(l.src) + " op " + std::to_string(l.op) +
+           " sends to rank 3 (tag " + std::to_string(l.tag) +
+           ") but rank 3 finished without receiving it";
+  };
+
+  std::string text = "Rule    Severity  Location     Message\n" +
+                     std::string(158, '-') + "\n" +
+                     "MPI010  warn      rank 0 op 1  negative user tag -3 "
+                     "[hint: negative tags match literally but are usually "
+                     "typos]\n";
+  for (const Leftover& l : expected) {
+    text += "MPI001  error     rank " + std::to_string(l.src) + " op " +
+            std::to_string(l.op) + "  " + message(l) + " [hint: " + hint +
+            "]\n";
+  }
+  text += "7 error(s), 1 warning(s), 0 note(s)\n";
+  EXPECT_EQ(render_diagnostics(report), text);
+
+  const auto finding = [](const std::string& rule, const std::string& sev,
+                          int rank, int op, const std::string& msg,
+                          const std::string& fix) {
+    return "    {\n      \"rule\": \"" + rule + "\",\n      \"severity\": \"" +
+           sev + "\",\n      \"rank\": " + std::to_string(rank) +
+           ",\n      \"op_index\": " + std::to_string(op) +
+           ",\n      \"message\": \"" + msg + "\",\n      \"hint\": \"" +
+           fix + "\"\n    }";
+  };
+  std::string json = "{\n  \"schema\": \"mb-diagnostics\",\n"
+                     "  \"schema_version\": 1,\n"
+                     "  \"tool\": \"mb_verify\",\n"
+                     "  \"tool_version\": \"" +
+                     std::string(support::version()) +
+                     "\",\n"
+                     "  \"source\": \"mpi001-order\",\n"
+                     "  \"seed\": 0,\n"
+                     "  \"counts\": {\n"
+                     "    \"error\": 7,\n"
+                     "    \"warn\": 1,\n"
+                     "    \"note\": 0\n"
+                     "  },\n"
+                     "  \"findings\": [\n" +
+                     finding("MPI010", "warn", 0, 1, "negative user tag -3",
+                             "negative tags match literally but are "
+                             "usually typos");
+  for (const Leftover& l : expected)
+    json += ",\n" + finding("MPI001", "error", l.src, l.op, message(l), hint);
+  json += "\n  ]\n}\n";
+  EXPECT_EQ(diagnostics_to_json(report, "mpi001-order"), json);
 }
 
 TEST(MpiVerify, Mpi002OrphanedRecv) {

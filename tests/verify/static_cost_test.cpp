@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -73,6 +74,45 @@ TEST(StaticCost, CollectiveTrafficMatchesTheLowering) {
   ASSERT_EQ(r.collectives.size(), 1u);
   EXPECT_EQ(r.collectives[0].kind, Op::Kind::kAllreduce);
   EXPECT_EQ(r.collectives[0].payload_bytes, per_rank * ranks);
+}
+
+TEST(StaticCost, PerOccurrencePayloadFollowsEachCollective) {
+  // Several collectives with point-to-point traffic and compute between
+  // them: each occurrence's payload is the sum of its own lowered sends.
+  const std::uint32_t ranks = 6;
+  Program p(ranks);
+  for (std::uint32_t r = 0; r < ranks; ++r) {
+    std::vector<std::uint64_t> counts(ranks);
+    for (std::uint32_t d = 0; d < ranks; ++d) counts[d] = 100 * r + d;
+    p.rank(r).push_back(Op::allreduce(6000));
+    p.rank(r).push_back(Op::compute(0.001));
+    p.rank(r).push_back(Op::send((r + 1) % ranks, 777, 3));
+    p.rank(r).push_back(Op::recv((r + ranks - 1) % ranks, 3));
+    p.rank(r).push_back(Op::bcast(2, 5000));
+    p.rank(r).push_back(Op::alltoallv(counts));
+    p.rank(r).push_back(Op::barrier());
+  }
+  const CostReport r = analyze_cost(p, tibidabo_descriptor(ranks));
+
+  const std::size_t coll_ops[] = {0, 4, 5, 6};
+  ASSERT_EQ(r.collectives.size(), 4u);
+  for (std::size_t c = 0; c < 4; ++c) {
+    std::uint64_t want = 0;
+    for (std::uint32_t rank = 0; rank < ranks; ++rank) {
+      const Op& op = p.rank(rank)[coll_ops[c]];
+      for (const Op& low : mpi::lower_collective(op, rank, ranks, 0))
+        if (low.kind == Op::Kind::kSend) want += low.bytes;
+    }
+    EXPECT_EQ(r.collectives[c].op_index, coll_ops[c]);
+    EXPECT_EQ(r.collectives[c].payload_bytes, want) << "collective " << c;
+  }
+}
+
+TEST(StaticCost, ThrowsOnDifferingCollectiveCounts) {
+  Program p(4);
+  for (std::uint32_t r = 0; r < 4; ++r) p.rank(r).push_back(Op::barrier());
+  p.rank(3).push_back(Op::barrier());
+  EXPECT_THROW(analyze_cost(p, tibidabo_descriptor(4)), support::Error);
 }
 
 TEST(StaticCost, BoundsAreOrderedAndPositive) {
